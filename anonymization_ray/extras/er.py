@@ -190,5 +190,9 @@ def survivorship_merge(
             ).select([entity_col, col]),
             batch_format="pyarrow",
         )
-        golden = hash_join(golden, part, on=entity_col, join_type="left_outer")
+        # materialized per attribute (entity-sized), so one plan holds two
+        # joins, the most ``util.default_num_partitions`` budgets memory for
+        golden = hash_join(
+            golden, part, on=entity_col, join_type="left_outer"
+        ).materialize()
     return golden

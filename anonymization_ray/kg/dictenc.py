@@ -215,7 +215,11 @@ def decode_bindings(
                 ),
                 batch_format="pyarrow",
             ).materialize()
-            out = hash_join(out, d, on=id_col, join_type="inner",
+            # the (result-sized) bindings materialize before each decode
+            # join, so a plan holds one join however many columns decode:
+            # every join's aggregators reserve memory when its plan starts,
+            # and ``util.default_num_partitions`` budgets for two at a time
+            out = hash_join(out.materialize(), d, on=id_col, join_type="inner",
                             num_partitions=num_partitions)
     return out.select_columns(list(mapping))
 

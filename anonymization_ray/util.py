@@ -457,12 +457,52 @@ def retry_shuffle_race(fn):
     return _run
 
 
+# joins of one plan whose aggregator pools hold memory at the same time:
+# ``kg.dictenc.encode_triples`` chains two lazy joins; longer chains
+# materialize between joins (``kg.dictenc.decode_bindings``)
+_CONCURRENT_JOINS = 2
+# what Ray asks for a shuffle task whose input block reports 0 bytes
+_ZERO_BYTE_SHUFFLE_TASK_MEMORY = 2 << 30
+
+
 def default_num_partitions() -> int:
-    """Join/shuffle partition count sized to the cluster: the join's
-    aggregator actors each hold a CPU, so too many partitions on a small
-    cluster deadlocks against the map tasks."""
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(2, cpus // 2)
+    """Join/shuffle partition count sized to the cluster's CPUs AND its
+    logical ``memory`` resource: too many partitions deadlock the join's
+    aggregator actors against the shuffle tasks that feed them.
+
+    Ray 2.49's resource model for a hash-shuffle join with ``n`` partitions
+    and ``B = DataContext.target_max_block_size``:
+
+    - each aggregator reserves 0.125 CPU per partition
+      (``ray/data/_internal/execution/operators/join.py:209``) plus
+      ``2B + 3B + 2B = 7B`` of ``memory`` -- shuffle inputs, the Arrow join
+      and its output (``join.py:215-264``, ``hash_shuffle.py:955-990``); in
+      total at most ``7B * n`` whatever the aggregator count;
+    - every hash-shuffle operator of a plan starts its aggregator pool when
+      execution starts (``hash_shuffle.py:521-524,1166-1179``), so the
+      reservations of chained joins add up before any row moves;
+    - a ``_shuffle_block`` task whose input block reports 0 bytes asks for
+      2 GiB of ``memory`` (``hash_shuffle.py:948-953``), which lazy join
+      inputs routinely do.
+
+    So ``n`` is ``cpus // 2``, capped so that ``_CONCURRENT_JOINS`` joins'
+    aggregators fit in ``memory`` with one 2 GiB shuffle task to spare:
+    ``n <= (memory - 2 GiB) / (_CONCURRENT_JOINS * 7B)``. At 32 CPUs and
+    10.75 GiB that is 5, not 16 (16 aggregators want 14 GiB and nothing
+    schedules). A plan chaining more than ``_CONCURRENT_JOINS`` lazy joins
+    can still deadlock; materialize between its joins. Where memory covers the bound, or ``B`` is unset (Ray then
+    reserves no aggregator memory), the count is ``cpus // 2``. It is never
+    below 2."""
+    if not ray.is_initialized():
+        return 2
+    res = ray.cluster_resources()
+    n = max(2, int(res.get("CPU", 4)) // 2)
+    block = ray.data.DataContext.get_current().target_max_block_size
+    memory = res.get("memory")
+    if block and memory:
+        fit = (memory - _ZERO_BYTE_SHUFFLE_TASK_MEMORY) // (_CONCURRENT_JOINS * 7 * block)
+        n = max(2, min(n, int(fit)))
+    return n
 
 
 def _compact_join_side(

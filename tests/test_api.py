@@ -14,6 +14,8 @@ from anonymization_ray.api import (
     static_fetcher,
 )
 
+from refcorpus import needs_corpus
+
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 FLAT_IN = "/root/reference/pytest/02_input_flat_json"
 FLAT_OUT = "/root/reference/pytest/02_output_flat_json"
@@ -28,6 +30,7 @@ with open(os.path.join(FIXDIR, "anonymisation_demo_soya.jsonld")) as _f:
 with open(os.path.join(FIXDIR, "anonymisation_demo2_soya.jsonld")) as _f:
     _DEMO2 = _f.read()
 FETCH = static_fetcher({CONFIG_URL: _DEMO, CONFIG_URL2: _DEMO2})
+needs_pytest_corpus = needs_corpus(os.path.dirname(FLAT_IN))
 
 
 def load(indir, name):
@@ -42,11 +45,13 @@ def golden(outdir, name):
 
 # ---- flat error cases -----------------------------------------------------
 
+@needs_pytest_corpus
 def test_flat_01_missing_parameter():
     got = handle_flat_request(load(FLAT_IN, "01-missing-parameter"), fetch=FETCH)
     assert got == golden(FLAT_OUT, "01-missing-parameter")
 
 
+@needs_pytest_corpus
 def test_flat_02_invalid_url():
     got = handle_flat_request(load(FLAT_IN, "02-invalid-url"), fetch=FETCH)
     want = golden(FLAT_OUT, "02-invalid-url")
@@ -55,6 +60,7 @@ def test_flat_02_invalid_url():
     )
 
 
+@needs_pytest_corpus
 def test_flat_03_invalid_config_content():
     # the reference fetches https://soya.ownyourdata.eu/ which serves HTML;
     # mirror with a fetcher that returns non-RDF content for that url
@@ -67,6 +73,7 @@ def test_flat_03_invalid_config_content():
     )
 
 
+@needs_pytest_corpus
 def test_flat_04_jsonld_data_on_flat_endpoint():
     # byte-exact including the Jackson token name and source position (the
     # column is computed against the corpus's own request serialization)
@@ -74,6 +81,7 @@ def test_flat_04_jsonld_data_on_flat_endpoint():
     assert got == golden(FLAT_OUT, "04-no-json-ld")
 
 
+@needs_pytest_corpus
 def test_flat_05_invalid_prefix():
     got = handle_flat_request(load(FLAT_IN, "05-invalid-prefix"), fetch=FETCH)
     assert got == golden(FLAT_OUT, "05-invalid-prefix")
@@ -81,6 +89,7 @@ def test_flat_05_invalid_prefix():
 
 # ---- flat happy path through the API (url -> SOyA parse -> anonymize) -----
 
+@needs_pytest_corpus
 def test_flat_11_masking_through_api():
     got = handle_flat_request(load(FLAT_IN, "11-maksing"), fetch=FETCH)
     assert got == golden(FLAT_OUT, "11-maksing")
@@ -88,11 +97,13 @@ def test_flat_11_masking_through_api():
 
 # ---- json-ld error cases --------------------------------------------------
 
+@needs_pytest_corpus
 def test_jsonld_01_missing_parameter():
     got = handle_jsonld_request(load(LD_IN, "01-missing-parameter"), fetch=FETCH)
     assert got == golden(LD_OUT, "01-missing-parameter")
 
 
+@needs_pytest_corpus
 def test_jsonld_02_invalid_url():
     got = handle_jsonld_request(load(LD_IN, "02-invalid-url"), fetch=FETCH)
     want = golden(LD_OUT, "02-invalid-url")
@@ -101,6 +112,7 @@ def test_jsonld_02_invalid_url():
     )
 
 
+@needs_pytest_corpus
 def test_jsonld_03_invalid_config_content():
     req = load(LD_IN, "03-invalid-config")
     fetch = static_fetcher({req["configurationUrl"]: "<html>landing page</html>"})
@@ -111,6 +123,7 @@ def test_jsonld_03_invalid_config_content():
     )
 
 
+@needs_pytest_corpus
 @pytest.mark.parametrize(
     "name",
     [
@@ -143,6 +156,7 @@ def test_jsonld_through_api_document_level(name):
     assert p == 1.0 and r == 1.0, f"{name}: P={p:.4f} R={r:.4f}"
 
 
+@needs_pytest_corpus
 def test_jsonld_04_flat_data_on_jsonld_endpoint():
     # non-JSON-LD data -> empty model; only the kpi node (k=1) survives
     got = handle_jsonld_request(load(LD_IN, "04-no-json-ld"), fetch=FETCH)
@@ -154,6 +168,7 @@ def test_jsonld_04_flat_data_on_jsonld_endpoint():
     assert kan["@value"] == "1"
 
 
+@needs_pytest_corpus
 def test_http_fetcher_live_localhost_roundtrip():
     """End-to-end over a REAL socket: the vendored demo overlay served by a
     stdlib HTTP server on 127.0.0.1, fetched by http_fetcher at request time

@@ -28,8 +28,11 @@ from anonymization_ray.pipelines.flat import (
 )
 from anonymization_ray.soya import parse_soya_config
 
+from refcorpus import needs_corpus
+
 IN_DIR = "/root/reference/pytest/02_input_flat_json"
 OUT_DIR = "/root/reference/pytest/02_output_flat_json"
+needs_pytest_corpus = needs_corpus(os.path.dirname(IN_DIR))
 
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "anonymisation_demo_soya.jsonld")) as _f:
     REF_CONFIG = parse_soya_config(_f.read())
@@ -65,12 +68,14 @@ def run(req, config, java_compat=True):
     )
 
 
+@needs_pytest_corpus
 def test_case_11_masking_exact():
     req, golden = load_case("11-maksing")
     got = run(req, REF_CONFIG)
     assert got == golden
 
 
+@needs_pytest_corpus
 def test_case_12_generalization_exact():
     # byte-exact including tie-straddling bucket assignments: java_compat
     # replays the reference's HashMap-iteration tie order (javacompat._bucket
@@ -80,6 +85,7 @@ def test_case_12_generalization_exact():
     assert got == golden
 
 
+@needs_pytest_corpus
 @pytest.mark.parametrize("name", ["12-generalization-address", "13-generalization-address"])
 def test_case_object_generalization_exact(name):
     req, golden = load_case(name)
@@ -87,6 +93,7 @@ def test_case_object_generalization_exact(name):
     assert got == golden
 
 
+@needs_pytest_corpus
 def test_case_14_randomization_byte_exact():
     # the reference's java.util.Random(1234) stream replayed exactly —
     # randomized literals AND the RNG-dependent k-anonymity match the golden
@@ -95,6 +102,7 @@ def test_case_14_randomization_byte_exact():
     assert got == golden
 
 
+@needs_pytest_corpus
 def test_case_14_philox_mode_structural():
     """Engine-default Philox mode: distributionally equivalent, not
     bit-equal — bounds + determinism (the documented deviation)."""
@@ -108,6 +116,7 @@ def test_case_14_philox_mode_structural():
     assert run(req, REF_CONFIG, java_compat=False) == got
 
 
+@needs_pytest_corpus
 def test_case_15_multiple_attributes_byte_exact():
     req, golden = load_case("15-multiple-attributes")
     got = run(req, REF_CONFIG)
@@ -121,6 +130,7 @@ def _norm_types(row):
     return r
 
 
+@needs_pytest_corpus
 def test_case_16_multiple_objects_byte_exact():
     req, golden = load_case("16-multiple-objects")
     got = run(req, REF_CONFIG2)
@@ -129,6 +139,7 @@ def test_case_16_multiple_objects_byte_exact():
         assert _norm_types(g_row) == _norm_types(ref_row)
 
 
+@needs_pytest_corpus
 def test_case_17_use_original_attributes_byte_exact():
     req, golden = load_case("17-use-original-attributes")
     got = run(req, REF_CONFIG)

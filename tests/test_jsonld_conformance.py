@@ -9,6 +9,7 @@ RNG-dependent k-anonymity — holds P/R == 1.0 with NO exclusions.
 """
 
 import json
+import os
 
 import pytest
 
@@ -19,10 +20,12 @@ from anonymization_ray.sources.jsonld import (
     triple_precision_recall,
 )
 
+from refcorpus import needs_corpus
 from test_conformance import REF_CONFIG, REF_CONFIG2
 
 IN_DIR = "/root/reference/pytest/01_input_json_ld"
 OUT_DIR = "/root/reference/pytest/01_output_json_ld"
+needs_pytest_corpus = needs_corpus(os.path.dirname(IN_DIR))
 
 
 def run_case(name, config, java_compat=True):
@@ -54,6 +57,7 @@ def pr(got, want, exclude_preds=(), exclude_pred_contains=()):
     return triple_precision_recall(gset, wset)
 
 
+@needs_pytest_corpus
 @pytest.mark.parametrize(
     "name,config",
     [
@@ -74,12 +78,14 @@ def test_jsonld_triple_pr(name, config):
     assert r == 1.0, f"{name}: recall {r:.4f}"
 
 
+@needs_pytest_corpus
 def test_jsonld_deterministic_cases_near_exact():
     got, want = run_case("11-maksing", REF_CONFIG)
     p, r = pr(got, want)
     assert p == 1.0 and r == 1.0
 
 
+@needs_pytest_corpus
 @pytest.mark.parametrize(
     "name", ["11-maksing", "12-generalization", "13-generalization-address"]
 )
@@ -100,6 +106,7 @@ def test_write_jsonld_roundtrip_goldens(name):
     assert p == 1.0 and r == 1.0
 
 
+@needs_pytest_corpus
 def test_write_jsonld_byte_stable():
     from anonymization_ray.sources.jsonld import write_jsonld
 
@@ -110,6 +117,7 @@ def test_write_jsonld_byte_stable():
     assert d1 == d2
 
 
+@needs_pytest_corpus
 def test_jsonld_case_17_rename_pass():
     got, want = run_case("17-use-original-attributes", REF_CONFIG)
     p, r = pr(got, want)

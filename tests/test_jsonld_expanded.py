@@ -22,7 +22,7 @@ from anonymization_ray.sources.jsonld import (
     triple_precision_recall,
 )
 
-from test_api import CONFIG_URL, FETCH, LD_IN, load
+from test_api import CONFIG_URL, FETCH, LD_IN, load, needs_pytest_corpus
 from test_conformance import REF_CONFIG
 
 PREFIX = "https://soya.ownyourdata.eu/AnonymisationDemo/"
@@ -32,6 +32,7 @@ def _norm(t):
     return normalize_triples(t, prefix=PREFIX)
 
 
+@needs_pytest_corpus
 def test_expand_roundtrips_to_same_triples():
     doc = load(LD_IN, "11-maksing")["data"]
     expanded = jsonld_expand(doc)
@@ -41,6 +42,7 @@ def test_expand_roundtrips_to_same_triples():
     assert _norm(parse_jsonld(expanded)) == _norm(parse_jsonld(doc))
 
 
+@needs_pytest_corpus
 def test_expanded_with_context_compacts_byte_identically():
     doc = load(LD_IN, "13-generalization-address")["data"]
     ctx = {k: v for k, v in doc["@context"].items() if isinstance(v, str)}
@@ -51,6 +53,7 @@ def test_expanded_with_context_compacts_byte_identically():
     assert compact.to_pylist() == re_compacted.to_pylist()
 
 
+@needs_pytest_corpus
 @pytest.mark.parametrize("name", ["11-maksing", "13-generalization-address"])
 def test_expanded_anonymization_matches_compact(name):
     req = load(LD_IN, name)
@@ -67,6 +70,7 @@ def test_expanded_anonymization_matches_compact(name):
     assert (p, r) == (1.0, 1.0)
 
 
+@needs_pytest_corpus
 def test_expanded_through_api_endpoint():
     req = load(LD_IN, "11-maksing")
     payload = dict(req)

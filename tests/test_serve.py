@@ -7,6 +7,7 @@ the vendored demo configs served through the injectable fetcher.
 
 import glob
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -16,23 +17,22 @@ import pytest
 from anonymization_ray.api import static_fetcher
 from anonymization_ray.serve import make_server
 
+from refcorpus import needs_corpus
 from test_api import CONFIG_URL, CONFIG_URL2, _DEMO, _DEMO2
 
 FLAT_IN = "/root/reference/pytest/02_input_flat_json"
 LD_IN = "/root/reference/pytest/01_input_json_ld"
+CORPUS = os.path.dirname(FLAT_IN)
+needs_pytest_corpus = needs_corpus(CORPUS)
 
 # vendored demo configs PLUS the invalid-config case's URL: the reference
 # fetches https://soya.ownyourdata.eu/ there, which serves an HTML landing
 # page — parse fails, the 404 ontology problem body comes back (case 03)
-with open(f"{FLAT_IN}/03-invalid-config.json") as _f:
-    _BAD_URL = json.load(_f)["configurationUrl"]
-FETCH = static_fetcher(
-    {
-        CONFIG_URL: _DEMO,
-        CONFIG_URL2: _DEMO2,
-        _BAD_URL: "<html>landing page</html>",
-    }
-)
+_CONFIGS = {CONFIG_URL: _DEMO, CONFIG_URL2: _DEMO2}
+if os.path.isdir(CORPUS):
+    with open(f"{FLAT_IN}/03-invalid-config.json") as _f:
+        _CONFIGS[json.load(_f)["configurationUrl"]] = "<html>landing page</html>"
+FETCH = static_fetcher(_CONFIGS)
 
 
 def _norm_types(body):
@@ -72,6 +72,7 @@ def _put(url: str, body: dict):
         return e.code, json.loads(e.read().decode("utf-8"))
 
 
+@needs_pytest_corpus
 @pytest.mark.parametrize(
     "input_path", sorted(glob.glob(f"{FLAT_IN}/*.json"))
 )
@@ -84,6 +85,7 @@ def test_flat_corpus_against_live_server(server_url, input_path):
     assert _norm_types(got) == _norm_types(desired), input_path
 
 
+@needs_pytest_corpus
 def test_jsonld_error_cases_against_live_server(server_url):
     for name in ["01-missing-parameter", "02-invalid-url"]:
         with open(f"{LD_IN}/{name}.json") as f:
@@ -95,6 +97,7 @@ def test_jsonld_error_cases_against_live_server(server_url):
         assert status in (400, 404)
 
 
+@needs_pytest_corpus
 def test_success_status_is_202(server_url):
     with open(f"{FLAT_IN}/11-maksing.json") as f:
         content = json.load(f)

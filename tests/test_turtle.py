@@ -1,19 +1,25 @@
 """Turtle reader (kg/turtle.py) — the reference's last unread input format
 (`exampleInputs/*.ttl`, what Jena's RDFDataMgr would parse)."""
 
+import os
+
 import pyarrow as pa
 import pytest
 
 from anonymization_ray.kg.turtle import parse_turtle, read_turtle_files
 
+from refcorpus import needs_corpus
+
 TTL_ONE = "/root/reference/exampleInputs/input_oneargument.ttl"
 TTL_TWO = "/root/reference/exampleInputs/input_twoargument.ttl"
+needs_example_inputs = needs_corpus(os.path.dirname(TTL_ONE))
 
 
 def _rows(t: pa.Table):
     return {(r["subj"], r["pred"], r["obj"], r["obj_kind"]) for r in t.to_pylist()}
 
 
+@needs_example_inputs
 def test_reference_oneargument_ttl():
     t = parse_turtle(open(TTL_ONE).read())
     rows = _rows(t)
@@ -24,6 +30,7 @@ def test_reference_oneargument_ttl():
     assert ("oyd:test9", "oyd:longitude", "123", "integer") in rows
 
 
+@needs_example_inputs
 def test_reference_twoargument_ttl():
     rows = _rows(parse_turtle(open(TTL_TWO).read()))
     assert ("oyd:test1", "oyd:gehalt", "211", "integer") in rows
@@ -31,6 +38,7 @@ def test_reference_twoargument_ttl():
     assert ("oyd:test9", "oyd:gehalt", "219", "integer") in rows
 
 
+@needs_example_inputs
 def test_expand_resolves_prefixes():
     rows = _rows(parse_turtle(open(TTL_ONE).read(), expand=True))
     base = "https://soya.ownyourdata.eu/AnonymisationDemo/"
@@ -102,6 +110,7 @@ def test_read_turtle_files_dataset(tmp_path):
     ]
 
 
+@needs_example_inputs
 def test_anonymization_from_turtle_input():
     """End-to-end: the reference's Turtle example through the anonymization
     pass — the triple table from parse_turtle drives the same pipeline the

@@ -18,8 +18,11 @@ import sys
 import pyarrow as pa
 import pytest
 import ray
+from ray.data import DataContext
 
-from anonymization_ray.util import hash_join
+from anonymization_ray.util import default_num_partitions, hash_join
+
+GiB = 1 << 30
 
 
 def _mat(tables: list[pa.Table]) -> ray.data.Dataset:
@@ -90,6 +93,27 @@ def test_join_both_sides_empty():
     )
     assert out.count() == 0
     assert set(out.schema().names) == {"k", "a", "b"}
+
+
+def _partitions_at(monkeypatch, cpus, memory):
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": cpus, "memory": memory})
+    return default_num_partitions()
+
+
+def test_default_partitions_fit_memory_reservation(monkeypatch):
+    # the 32-CPU hang: cpus // 2 = 16 join aggregators reserve 7 blocks of
+    # memory each (14 GiB) against 10.75 GiB. Two joins started together
+    # must fit with one 2 GiB zero-byte shuffle task to spare.
+    block = DataContext.get_current().target_max_block_size
+    memory = 10.75 * GiB
+    n = _partitions_at(monkeypatch, 32, memory)
+    assert 2 <= n < 16
+    assert 2 * n * 7 * block + 2 * GiB <= memory
+
+
+def test_default_partitions_cpu_sized_with_ample_memory(monkeypatch):
+    assert _partitions_at(monkeypatch, 32, 64 * GiB) == 16
+    assert _partitions_at(monkeypatch, 4, 10.75 * GiB) == 2
 
 
 @pytest.mark.slow
