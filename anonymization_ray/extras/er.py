@@ -164,9 +164,10 @@ def survivorship_merge(
     Scale shape, per attribute: drop nulls -> `min_per_key` winning
     priority (range sort + boundary scan, no per-group aggregate) -> one
     entity-keyed hash join fetches the winning value. Attribute results
-    re-join on the entity key — the SAME partitioning key throughout, so
-    a co-partitioning executor reuses one shuffle; no stage ever holds
-    more than (entity, priority, one attribute)."""
+    re-join the golden table on the entity key, one materialized step per
+    attribute, so the merge runs at call time and a plan never holds more
+    than one attribute's two joins; no stage ever holds more than
+    (entity, priority, one attribute)."""
     from ..util import hash_join, min_per_key
 
     # seed with the entity universe so an entity whose every source left an

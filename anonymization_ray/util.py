@@ -458,7 +458,10 @@ def retry_shuffle_race(fn):
 
 
 # joins of one plan whose aggregator pools hold memory at the same time:
-# ``kg.dictenc.encode_triples`` chains two lazy joins; longer chains
+# ``kg.dictenc.encode_triples``, ``extras.graph.degree_assortativity`` /
+# ``modularity``, ``extras.dedup.minhash_lsh_pairs`` into
+# ``verify_pairs_exact`` and each attribute step of
+# ``extras.er.survivorship_merge`` chain two lazy joins; longer chains
 # materialize between joins (``kg.dictenc.decode_bindings``)
 _CONCURRENT_JOINS = 2
 # what Ray asks for a shuffle task whose input block reports 0 bytes
@@ -490,9 +493,9 @@ def default_num_partitions() -> int:
     ``n <= (memory - 2 GiB) / (_CONCURRENT_JOINS * 7B)``. At 32 CPUs and
     10.75 GiB that is 5, not 16 (16 aggregators want 14 GiB and nothing
     schedules). A plan chaining more than ``_CONCURRENT_JOINS`` lazy joins
-    can still deadlock; materialize between its joins. Where memory covers the bound, or ``B`` is unset (Ray then
-    reserves no aggregator memory), the count is ``cpus // 2``. It is never
-    below 2."""
+    can still deadlock; materialize between its joins. Where memory covers
+    the bound, or ``B`` is unset (Ray then reserves no aggregator memory),
+    the count is ``cpus // 2``. It is never below 2."""
     if not ray.is_initialized():
         return 2
     res = ray.cluster_resources()
